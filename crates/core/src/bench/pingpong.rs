@@ -8,7 +8,7 @@ use tc_desim::time::{self, Time};
 use tc_gpu::CounterSnapshot;
 use tc_ib::{BufLoc, IbvContext, SendOpcode, SendWr};
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{spin_on_word, Processor};
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, PutGetEndpoint, QueueLoc};
@@ -57,18 +57,13 @@ pub(crate) async fn write_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u
 
 /// Spin until the marker at the tail of `buf` reaches `v`.
 pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u64) {
-    loop {
-        let cur = if size >= 8 {
-            p.ld_u64(buf + size - 8).await
-        } else {
-            p.ld_u32(buf + size.max(4) - 4).await as u64
-        };
-        // Compare, branch, recompute the volatile pointer.
-        p.instr(4).await;
-        if cur == v {
-            return;
-        }
-    }
+    let (addr, len) = if size >= 8 {
+        (buf + size - 8, 8)
+    } else {
+        (buf + size.max(4) - 4, 4)
+    };
+    // Compare, branch, recompute the volatile pointer: 4 instructions.
+    spin_on_word(p, addr, len, 4, |cur| cur == v).await;
 }
 
 struct Timing {

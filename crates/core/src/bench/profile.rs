@@ -29,7 +29,7 @@ use std::rc::Rc;
 use tc_desim::time::{self, Time};
 use tc_desim::WindowStat;
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{spin_on_word, Processor};
 use tc_trace::causal::{self, Attribution, BinSpan, CausalDump};
 use tc_trace::series::SeriesSet;
 use tc_trace::{Phase, TraceEvent};
@@ -273,13 +273,7 @@ async fn pp_initiator<P: Processor>(
         t.fence().await;
         ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;
         ep.quiet(t).await.unwrap();
-        loop {
-            let tag = t.ld_u64(buf + layout.tag_in()).await;
-            t.instr(4).await;
-            if tag >= e {
-                break;
-            }
-        }
+        spin_on_word(t, buf + layout.tag_in(), 8, 4, |tag| tag >= e).await;
     }
 }
 
@@ -291,13 +285,7 @@ async fn pp_responder<P: Processor>(
     rounds: u32,
 ) {
     for e in 1..=rounds as u64 {
-        loop {
-            let tag = t.ld_u64(buf + layout.tag_in()).await;
-            t.instr(4).await;
-            if tag >= e {
-                break;
-            }
-        }
+        spin_on_word(t, buf + layout.tag_in(), 8, 4, |tag| tag >= e).await;
         t.st_u64(buf + layout.tag_out(), e).await;
         t.fence().await;
         ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;

@@ -125,8 +125,15 @@ struct CausalBusWatch {
 }
 
 impl tc_mem::BusWatch for CausalBusWatch {
-    fn store(&self, addr: u64) {
-        self.causal.causal().note_store(addr);
+    fn store(&self, addr: u64, len: u64) {
+        // First and last words: a payload's body is never polled, its
+        // edges (tags, markers, notification records) are.
+        let first = addr & !7;
+        let last = (addr + len - 1) & !7;
+        self.causal.causal().note_store(first);
+        if last != first {
+            self.causal.causal().note_store(last);
+        }
     }
     fn load(&self, addr: u64) {
         self.causal.causal().note_load(addr);
@@ -317,6 +324,16 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    /// Free the simulated world: processes still blocked when the run
+    /// ended (NIC engines, posted-write deliveries, parked spinners) hold
+    /// handles to the simulation that owns them, a reference cycle that
+    /// would otherwise keep the whole system alive.
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,5 +369,37 @@ mod tests {
         assert_eq!(c.bus.read_u64(b), 2);
         assert_eq!(tc_mem::layout::node_of(a), 0);
         assert_eq!(tc_mem::layout::node_of(b), 1);
+    }
+
+    #[test]
+    fn dropping_a_cluster_frees_the_world() {
+        use crate::api::{create_pair, QueueLoc};
+        for backend in [Backend::Extoll, Backend::Infiniband] {
+            let c = Cluster::new(backend);
+            let a = c.nodes[0].gpu.alloc(4096, 256);
+            let b = c.nodes[1].gpu.alloc(4096, 256);
+            let (ep0, ep1) = create_pair(&c, a, b, 4096, QueueLoc::Host);
+            let t0 = c.nodes[0].gpu.thread();
+            let t1 = c.nodes[1].gpu.thread();
+            c.sim.spawn("sender", async move {
+                ep0.put(&t0, 0, 0, 256, true).await;
+                ep0.quiet(&t0).await.unwrap();
+            });
+            // Arms and waits for a second arrival that never comes: the
+            // run ends with this process parked in its completion wait.
+            c.sim.spawn("receiver", async move {
+                ep1.arm_arrival(&t1).await;
+                ep1.wait_arrival(&t1).await.unwrap();
+                ep1.arm_arrival(&t1).await;
+                ep1.wait_arrival(&t1).await.unwrap();
+            });
+            c.sim.run();
+            assert!(c.sim.live_processes() > 0, "engines stay blocked");
+            let world = c.sim.downgrade();
+            let node = Rc::downgrade(&c.nodes[0].host_heap);
+            drop(c);
+            assert!(world.upgrade().is_none(), "{backend:?} simulation leaked");
+            assert!(node.upgrade().is_none(), "{backend:?} node leaked");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! space past `data_len` for staging and synchronization tags.
 
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{spin_on_word, Processor};
 
 use crate::api::PutGetEndpoint;
 
@@ -65,13 +65,7 @@ pub async fn exchange<P: Processor>(
     ep.put(p, l.tag_out, l.tag_in, 8, false).await;
     ep.quiet(p).await.unwrap();
     ep.quiet(p).await.unwrap();
-    loop {
-        let tag = p.ld_u64(local_base + l.tag_in).await;
-        p.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    spin_on_word(p, local_base + l.tag_in, 8, 4, |tag| tag >= epoch).await;
 }
 
 /// Two-node barrier: returns once both ranks have entered epoch `epoch`.
@@ -82,13 +76,7 @@ pub async fn barrier<P: Processor>(p: &P, ep: &PutGetEndpoint, local_base: Addr,
     p.fence().await;
     ep.put(p, l.tag_out, l.tag_in, 8, false).await;
     ep.quiet(p).await.unwrap();
-    loop {
-        let tag = p.ld_u64(local_base + l.tag_in).await;
-        p.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    spin_on_word(p, local_base + l.tag_in, 8, 4, |tag| tag >= epoch).await;
 }
 
 /// Broadcast from rank 0: after the call, both buffers hold rank 0's
@@ -111,13 +99,7 @@ pub async fn broadcast<P: Processor>(
         ep.quiet(p).await.unwrap();
         ep.quiet(p).await.unwrap();
     } else {
-        loop {
-            let tag = p.ld_u64(local_base + l.tag_in).await;
-            p.instr(4).await;
-            if tag >= epoch {
-                return;
-            }
-        }
+        spin_on_word(p, local_base + l.tag_in, 8, 4, |tag| tag >= epoch).await;
     }
 }
 

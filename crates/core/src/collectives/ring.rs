@@ -7,7 +7,7 @@
 //! being accumulated.
 
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{spin_on_word, Processor};
 
 use crate::api::{create_pair_between, PutGetEndpoint, QueueLoc};
 use crate::cluster::Cluster;
@@ -183,13 +183,7 @@ async fn ring_step<P: Processor>(
     ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;
     ep.quiet(t).await.unwrap();
     ep.quiet(t).await.unwrap();
-    loop {
-        let tag = t.ld_u64(my_buf + layout.tag_in()).await;
-        t.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    spin_on_word(t, my_buf + layout.tag_in(), 8, 4, |tag| tag >= epoch).await;
 }
 
 /// Rank `rank`'s side of a ring all-reduce (u64 sum). Every rank must call

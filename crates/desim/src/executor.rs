@@ -18,7 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use tc_trace::causal::{CausalDump, CausalLog, Cause, NodeId};
@@ -26,6 +26,7 @@ use tc_trace::{Recorder, Registry};
 
 use crate::intern::{NameId, NameTable};
 use crate::queue::{QueueKind, TimerId, TimerQueue, TimerRef};
+use crate::spin::{precedes, Sleep, SleepCell, SleepSpec, Sleeper};
 use crate::sync::{Signal, WaitCells, WaitToken};
 use crate::time::Time;
 
@@ -60,6 +61,10 @@ pub(crate) struct Inner {
     live: usize,
     names: NameTable,
     waits: WaitCells,
+    /// Spinners parked on a step grid (see [`crate::spin`]).
+    sleepers: Vec<Sleeper>,
+    /// Next sleeper registration number.
+    reg_seq: u64,
 }
 
 impl Inner {
@@ -95,6 +100,64 @@ impl Inner {
             }
         }
     }
+
+    /// Charge every sleeper's events up to `t`.
+    fn flush_sleepers(&mut self, t: Time, inclusive: bool) {
+        for s in &mut self.sleepers {
+            s.flush(t, inclusive);
+        }
+    }
+
+    /// Materialize the sleepers at indices `picked` with their position
+    /// taken at `t` (events at `t` itself count as done when `inclusive`):
+    /// charge their events and insert each pending step as a real timer.
+    /// A materialized spinner's timer is itself a timer on its pending
+    /// boundary (rule (b)), so sleepers sharing that boundary come along,
+    /// and timers that complete at the same instant are inserted in
+    /// explicit-run order.
+    fn materialize(&mut self, mut picked: Vec<usize>, t: Time, inclusive: bool) {
+        let mut i = 0;
+        while i < picked.len() {
+            let g = &self.sleepers[picked[i]].spec.grid;
+            let due = g.event_time(g.events_by(t, inclusive));
+            for (k, o) in self.sleepers.iter().enumerate() {
+                if !picked.contains(&k) && o.has_boundary(due) {
+                    picked.push(k);
+                }
+            }
+            i += 1;
+        }
+        picked.sort_unstable_by(|a, b| b.cmp(a));
+        let mut woken: Vec<(Time, Sleeper)> = picked
+            .into_iter()
+            .map(|k| {
+                let mut s = self.sleepers.swap_remove(k);
+                s.flush(t, inclusive);
+                (s.spec.grid.event_time(s.applied), s)
+            })
+            .collect();
+        woken.sort_by(|(da, a), (db, b)| {
+            da.cmp(db)
+                .then_with(|| precedes(a, a.applied, b, b.applied))
+        });
+        for (due, s) in woken {
+            let timer = self.queue.schedule(due, s.pid);
+            s.cell.event.set(s.applied);
+            s.cell.asleep.set(false);
+            *s.cell.timer.borrow_mut() = Some(timer);
+        }
+    }
+
+    /// Rule (b): materialize every sleeper with a step boundary at `at`.
+    fn wake_at_boundary(&mut self, at: Time, t: Time, inclusive: bool) {
+        if !self.sleepers.iter().any(|s| s.has_boundary(at)) {
+            return;
+        }
+        let picked: Vec<usize> = (0..self.sleepers.len())
+            .filter(|&k| self.sleepers[k].has_boundary(at))
+            .collect();
+        self.materialize(picked, t, inclusive);
+    }
 }
 
 struct Shared {
@@ -116,6 +179,12 @@ struct Shared {
     /// shard coordinator's deliver callback just before it replays an
     /// envelope, consumed by [`Sim::spawn`]).
     import_stage: Cell<Option<(u32, u64)>>,
+    /// Deadline of the current [`Sim::run_until`]: fast-forward never
+    /// moves the clock past it.
+    limit: Cell<Time>,
+    /// Mirrors `!inner.sleepers.is_empty()`, so the collision checks on
+    /// the bus, link and L2 paths cost one branch while nobody sleeps.
+    sleeping: Cell<bool>,
 }
 
 /// Handle to a simulation. Cheap to clone (one reference-count bump); all
@@ -162,13 +231,23 @@ impl Sim {
                     live: 0,
                     names: NameTable::new(),
                     waits: WaitCells::new(),
+                    sleepers: Vec::new(),
+                    reg_seq: 0,
                 }),
                 registry: Registry::new(),
                 recorder: Recorder::new(),
                 causal: CausalLog::new(),
                 import_stage: Cell::new(None),
+                limit: Cell::new(0),
+                sleeping: Cell::new(false),
             }),
         }
+    }
+
+    /// A weak handle: it does not keep the simulation alive (see
+    /// [`Sim::shutdown`]).
+    pub fn downgrade(&self) -> WeakSim {
+        WeakSim(Rc::downgrade(&self.shared))
     }
 
     /// Which event-queue implementation this simulation runs on.
@@ -424,6 +503,7 @@ impl Sim {
     /// Run until the event queue is exhausted or the clock would pass
     /// `deadline`. Returns the simulated time when the run stopped.
     pub fn run_until(&self, deadline: Time) -> Time {
+        self.shared.limit.set(deadline);
         loop {
             // Drain everything runnable at the current instant.
             loop {
@@ -437,12 +517,28 @@ impl Sim {
             // return a conservative bound when the true next event is past
             // the deadline; either way `at > deadline` means "stop here".
             let mut inner = self.shared.inner.borrow_mut();
+            let sleeping = self.shared.sleeping.get();
             match inner.queue.next_at(deadline) {
                 Some(at) if at > deadline => {
                     self.shared.now.set(deadline);
+                    if sleeping {
+                        // Every boundary up to the deadline has passed,
+                        // exactly as an explicit run would have fired it.
+                        inner.flush_sleepers(deadline, true);
+                    }
                     return deadline;
                 }
-                Some(_) => {
+                Some(at) => {
+                    if sleeping {
+                        // A timer that existed before a spinner fell asleep
+                        // fires on one of its boundaries: the spinner's step
+                        // completes right after it (rule (b)).
+                        inner.wake_at_boundary(at, at, false);
+                        self.shared.sleeping.set(!inner.sleepers.is_empty());
+                        if at > self.shared.now.get() {
+                            inner.flush_sleepers(at, false);
+                        }
+                    }
                     let (at, waiter) = inner.queue.pop().expect("due timer vanished");
                     debug_assert!(at >= self.shared.now.get(), "time went backwards");
                     self.shared.now.set(at);
@@ -454,7 +550,13 @@ impl Sim {
                         inner.make_runnable(pid);
                     }
                 }
-                None => return self.shared.now.get(),
+                None => {
+                    let now = self.shared.now.get();
+                    if sleeping {
+                        inner.flush_sleepers(now, true);
+                    }
+                    return now;
+                }
             }
         }
     }
@@ -486,6 +588,7 @@ impl Sim {
     /// over [`Sim::recorder`]: it enables the structured recorder and
     /// discards any previously recorded events.
     pub fn trace_enable(&self) {
+        self.wake_if(|_| true);
         self.shared.recorder.clear();
         self.shared.recorder.enable();
     }
@@ -564,9 +667,16 @@ impl Sim {
             inner.live,
             self.shared.now.get()
         );
-        for slot in inner.procs.iter().flatten() {
+        for (i, slot) in inner.procs.iter().enumerate() {
+            let Some(slot) = slot else { continue };
             let name = inner.names.get(slot.name);
             let _ = write!(out, "  {name}");
+            if let Some(s) = inner.sleepers.iter().find(|s| s.pid.0 == i) {
+                let _ = write!(out, ": asleep in an elided spin-wait ({})", s.spec.label);
+                for r in &s.spec.watch {
+                    let _ = write!(out, " [{:#x}, {:#x})", r.start, r.end);
+                }
+            }
             if causal.on() {
                 if let Some(n) = slot.last_node.and_then(|id| causal.node(id)) {
                     let _ = write!(out, ": last polled at t={} ps (cause {:?})", n.ts, n.cause);
@@ -595,6 +705,7 @@ impl Sim {
     /// a previous recording window are invalidated and re-assigned
     /// lazily, so dumps never mix generations.
     pub fn causal_enable(&self) {
+        self.wake_if(|_| true);
         self.shared.causal.enable();
         self.shared.import_stage.set(None);
         let mut inner = self.shared.inner.borrow_mut();
@@ -643,12 +754,175 @@ impl Sim {
         self.shared.causal.dump()
     }
 
-    fn schedule_timer(&self, at: Time, waiter: ProcId) -> TimerRef {
-        self.shared.inner.borrow_mut().queue.schedule(at, waiter)
+    /// Start a delay of the current process until `at`: complete it
+    /// inline if the explicit run would have fired nothing before it
+    /// (fast-forward, see [`crate::spin`]) and return `None`, else
+    /// schedule its timer. Fast-forward needs nothing else runnable, no
+    /// timer due at or before `at`, no spinner boundary at `at`, `at`
+    /// within the current run limit, and recording off.
+    fn start_delay(&self, at: Time) -> Option<TimerRef> {
+        let now = self.shared.now.get();
+        let mut inner = self.shared.inner.borrow_mut();
+        let sleeping = self.shared.sleeping.get();
+        if sleeping {
+            // A timer (real or skipped) on a spinner's boundary (rule (b)).
+            inner.wake_at_boundary(at, now, true);
+            self.shared.sleeping.set(!inner.sleepers.is_empty());
+        }
+        // Cheapest and most often failing checks first.
+        let forward = inner.runnable.is_empty()
+            && !inner.queue.due_by(at)
+            && at <= self.shared.limit.get()
+            && self.elision_enabled();
+        if !forward {
+            return Some(inner.queue.schedule(at, self.current_proc()));
+        }
+        self.shared.now.set(at);
+        self.shared.last_event.set(at);
+        if sleeping {
+            inner.flush_sleepers(at, true);
+        }
+        None
     }
 
-    fn timer_pending(&self, id: TimerId) -> bool {
+    pub(crate) fn timer_pending(&self, id: TimerId) -> bool {
         self.shared.inner.borrow().queue.is_pending(id)
+    }
+
+    // -- spin-wait elision (see crate::spin) -------------------------------
+
+    /// Whether spin elision and fast-forward may run: only while both the
+    /// trace recorder and the causal log are off, so traced and profiled
+    /// runs always step explicitly.
+    pub fn elision_enabled(&self) -> bool {
+        !self.shared.recorder.on() && !self.shared.causal.on()
+    }
+
+    /// Park the current process on a step grid until a collision
+    /// materializes it (see [`crate::spin`]). The grid must start now and
+    /// [`Sim::elision_enabled`] must hold. The returned future resolves,
+    /// when the pending step's timer fires, to the index of the event that
+    /// timer completes; every earlier event has been charged through
+    /// `spec.charge`.
+    pub fn sleep_on_grid(&self, spec: SleepSpec) -> Sleep {
+        Sleep::new(self.clone(), spec)
+    }
+
+    pub(crate) fn park(&self, spec: SleepSpec) -> Rc<SleepCell> {
+        assert!(self.elision_enabled(), "spin elision while recording");
+        let now = self.shared.now.get();
+        assert_eq!(spec.grid.start(), now, "step grid must start now");
+        let pid = self.current_proc();
+        let cell = Rc::new(SleepCell {
+            timer: RefCell::new(None),
+            event: Cell::new(0),
+            asleep: Cell::new(true),
+        });
+        let mut inner = self.shared.inner.borrow_mut();
+        let reg_seq = inner.reg_seq;
+        inner.reg_seq += 1;
+        let next = spec.grid.start();
+        let mut sleeper = Sleeper {
+            pid,
+            spec,
+            applied: 0,
+            next,
+            reg_seq,
+            cell: cell.clone(),
+        };
+        sleeper.flush(now, true);
+        inner.sleepers.push(sleeper);
+        self.shared.sleeping.set(true);
+        cell
+    }
+
+    /// Forget a dropped [`Sleep`]: unpark it, or cancel its pending timer.
+    pub(crate) fn unpark(&self, cell: &Rc<SleepCell>) {
+        let Ok(mut inner) = self.shared.inner.try_borrow_mut() else {
+            return;
+        };
+        if cell.asleep.get() {
+            inner.sleepers.retain(|s| !Rc::ptr_eq(&s.cell, cell));
+            self.shared.sleeping.set(!inner.sleepers.is_empty());
+        } else if let Some(TimerRef::Wheel(id)) = cell.timer.borrow_mut().take() {
+            inner.queue.cancel(id);
+        }
+    }
+
+    /// Materialize, at the current instant, the sleepers `pick` selects.
+    fn wake_if(&self, pick: impl Fn(&Sleeper) -> bool) {
+        let mut inner = self.shared.inner.borrow_mut();
+        let picked: Vec<usize> = (0..inner.sleepers.len())
+            .filter(|&k| pick(&inner.sleepers[k]))
+            .collect();
+        if !picked.is_empty() {
+            inner.materialize(picked, self.shared.now.get(), true);
+            self.shared.sleeping.set(!inner.sleepers.is_empty());
+        }
+    }
+
+    /// Rule (a): the bytes `lo..hi` (physical addresses) were written.
+    /// Wakes every sleeper whose iteration loads any of them.
+    #[inline]
+    pub fn spin_write(&self, lo: u64, hi: u64) {
+        if self.shared.sleeping.get() {
+            self.wake_if(|s| s.watches(lo, hi));
+        }
+    }
+
+    /// Rule (c): another party touched the shared state behind `key` (an
+    /// L2 insert, a link reservation). Wakes every sleeper that uses it.
+    #[inline]
+    pub fn spin_touch(&self, key: u64) {
+        if self.shared.sleeping.get() {
+            self.wake_if(|s| s.spec.keys.contains(&key));
+        }
+    }
+
+    /// Number of processes parked in an elided spin-wait.
+    pub fn sleeping_processes(&self) -> usize {
+        self.shared.inner.borrow().sleepers.len()
+    }
+
+    /// Drop every live process together with its pending timers and
+    /// sleeping spinners. Blocked model processes hold handles to the very
+    /// simulation that owns them, so without this a finished system is
+    /// never freed; the testbed builders call it when they are dropped.
+    /// The clock keeps its value; nothing is left to run.
+    pub fn shutdown(&self) {
+        let (futs, sleepers) = {
+            let mut inner = self.shared.inner.borrow_mut();
+            let futs: Vec<BoxedProc> = inner
+                .procs
+                .iter_mut()
+                .flatten()
+                .filter_map(|slot| slot.fut.take())
+                .collect();
+            (futs, std::mem::take(&mut inner.sleepers))
+        };
+        self.shared.sleeping.set(false);
+        // Outside the borrow: dropping a future re-enters the executor to
+        // cancel its timers.
+        drop(sleepers);
+        drop(futs);
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.procs.clear();
+        inner.free.clear();
+        inner.runnable.clear();
+        inner.live = 0;
+        let kind = inner.queue.kind();
+        inner.queue = TimerQueue::new(kind);
+    }
+}
+
+/// A weak [`Sim`] handle (see [`Sim::downgrade`]).
+#[derive(Clone)]
+pub struct WeakSim(Weak<Shared>);
+
+impl WeakSim {
+    /// The simulation, if it is still alive.
+    pub fn upgrade(&self) -> Option<Sim> {
+        self.0.upgrade().map(|shared| Sim { shared })
     }
 }
 
@@ -673,9 +947,10 @@ impl Future for Delay {
                 if this.dur == 0 {
                     return Poll::Ready(());
                 }
-                let pid = this.sim.current_proc();
-                let at = this.sim.now() + this.dur;
-                this.timer = Some(this.sim.schedule_timer(at, pid));
+                this.timer = this.sim.start_delay(this.sim.now() + this.dur);
+                if this.timer.is_none() {
+                    return Poll::Ready(());
+                }
                 Poll::Pending
             }
             Some(TimerRef::Wheel(id)) => {
@@ -953,6 +1228,12 @@ mod tests {
     #[test]
     fn dropped_delay_cancels_wheel_timer() {
         let sim = Sim::with_queue(QueueKind::Wheel);
+        // An earlier pending timer keeps the 500 ns delay from completing
+        // inline (fast-forward), so its first poll schedules a timer.
+        let h = sim.clone();
+        sim.spawn("earlier", async move {
+            h.delay(ns(100)).await;
+        });
         let h = sim.clone();
         sim.spawn("canceller", async move {
             {
@@ -967,6 +1248,6 @@ mod tests {
             h.delay(ns(10)).await;
         });
         // The cancelled 500 ns timer must not extend the run.
-        assert_eq!(sim.run(), ns(10));
+        assert_eq!(sim.run(), ns(100));
     }
 }

@@ -47,12 +47,14 @@ pub mod executor;
 mod intern;
 mod queue;
 pub mod shard;
+pub mod spin;
 pub mod sync;
 pub mod time;
 
-pub use executor::{ProcId, Sim};
+pub use executor::{ProcId, Sim, WeakSim};
 pub use queue::QueueKind;
 pub use shard::{run_sharded, Envelope, Outgoing, ShardHandle, WindowStat};
+pub use spin::{Sleep, SleepSpec, StepGrid};
 pub use time::{Freq, Time};
 
 // Re-exported so hardware models can name instrumentation types through

@@ -73,6 +73,8 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const LEVELS: usize = 11;
 
 const NONE: u32 = u32::MAX;
+/// Longest slot list [`Wheel::due_by`] scans before answering `true`.
+const DUE_SCAN: usize = 8;
 /// `TimerSlot::level` value for a slot on the free list.
 const LEVEL_FREE: u8 = 0xFF;
 /// `TimerSlot::level` value for a slot in the due-now fire buffer.
@@ -170,8 +172,13 @@ impl Wheel {
     }
 
     fn insert(&mut self, at: Time, seq: u64, waiter: ProcId) -> TimerId {
+        // A timer due exactly at the instant being fired (a spinner
+        // materialized by a timer that fires on its boundary) joins the
+        // fire buffer behind everything already there: its `seq` is the
+        // largest.
+        let due_now = at == self.elapsed && at == self.buf_at && self.buf_pos < self.buf.len();
         debug_assert!(
-            at > self.elapsed,
+            at > self.elapsed || due_now,
             "timer at {at} not after wheel cursor {}",
             self.elapsed
         );
@@ -195,7 +202,12 @@ impl Wheel {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.link(idx, at);
+        if due_now {
+            self.slab[idx as usize].level = LEVEL_BUFFER;
+            self.buf.push(idx);
+        } else {
+            self.link(idx, at);
+        }
         self.len += 1;
         TimerId {
             idx,
@@ -310,6 +322,38 @@ impl Wheel {
         Some(min_at)
     }
 
+    /// Whether any pending timer may be due at or before `limit`: exact
+    /// for short slot lists, `true` when the earliest slot's list is long
+    /// (a crowded wheel rarely lets a delay fast-forward, and scanning it
+    /// would cost more than the timer). Read-only: unlike
+    /// [`Wheel::next_at`] it never moves entries or the cursor.
+    fn due_by(&self, limit: Time) -> bool {
+        if self.buf_pos < self.buf.len() {
+            return self.buf_at <= limit;
+        }
+        if self.len == 0 {
+            return false;
+        }
+        let (level, slot, deadline) = self
+            .next_expiration()
+            .expect("len > 0 but no occupied wheel slot");
+        if deadline > limit {
+            return false;
+        }
+        let mut cur = self.levels[level].heads[slot];
+        for _ in 0..DUE_SCAN {
+            if cur == NONE {
+                return false;
+            }
+            let s = &self.slab[cur as usize];
+            if s.at <= limit {
+                return true;
+            }
+            cur = s.next;
+        }
+        cur != NONE
+    }
+
     /// Fire the next timer: frees its slot and returns `(deadline, waiter)`.
     fn pop(&mut self) -> Option<(Time, ProcId)> {
         if self.buf_pos >= self.buf.len() {
@@ -421,12 +465,17 @@ enum Imp {
 pub(crate) struct TimerQueue {
     seq: u64,
     imp: Imp,
+    /// The deadline of some timer known to be pending (`Time::MAX` when
+    /// none is known): lets [`TimerQueue::due_by`] answer "yes" without a
+    /// scan in the common case of a just-scheduled earlier timer.
+    known: Time,
 }
 
 impl TimerQueue {
     pub(crate) fn new(kind: QueueKind) -> Self {
         TimerQueue {
             seq: 0,
+            known: Time::MAX,
             imp: match kind {
                 QueueKind::Wheel => Imp::Wheel(Wheel::new()),
                 QueueKind::RefHeap => Imp::Heap(RefHeap {
@@ -455,6 +504,7 @@ impl TimerQueue {
     pub(crate) fn schedule(&mut self, at: Time, waiter: ProcId) -> TimerRef {
         let seq = self.seq;
         self.seq += 1;
+        self.known = self.known.min(at);
         match &mut self.imp {
             Imp::Wheel(w) => TimerRef::Wheel(w.insert(at, seq, waiter)),
             Imp::Heap(h) => {
@@ -481,16 +531,34 @@ impl TimerQueue {
         }
     }
 
+    /// Whether a pending timer may be due at or before `limit`: never
+    /// `false` when one is (read-only; abandoned reference-heap timers
+    /// count, as they still fire).
+    pub(crate) fn due_by(&self, limit: Time) -> bool {
+        if self.known <= limit {
+            return true;
+        }
+        match &self.imp {
+            Imp::Wheel(w) => w.due_by(limit),
+            Imp::Heap(h) => h.queue.peek().is_some_and(|Reverse(ev)| ev.at <= limit),
+        }
+    }
+
     /// Fire the next timer (which [`Self::next_at`] must have reported as
     /// due). Returns its deadline and the process to wake, if any.
     pub(crate) fn pop(&mut self) -> Option<(Time, Option<ProcId>)> {
-        match &mut self.imp {
+        let fired = match &mut self.imp {
             Imp::Wheel(w) => w.pop().map(|(at, pid)| (at, Some(pid))),
             Imp::Heap(h) => h.queue.pop().map(|Reverse(ev)| {
                 ev.timer.fired.set(true);
                 (ev.at, ev.timer.waiter.take())
             }),
+        };
+        // The earliest timer fired: the known one may have been it.
+        if fired.is_some_and(|(at, _)| at >= self.known) {
+            self.known = Time::MAX;
         }
+        fired
     }
 
     /// Cancel a pending wheel timer (freeing its slot for reuse). The
@@ -499,6 +567,7 @@ impl TimerQueue {
     pub(crate) fn cancel(&mut self, id: TimerId) {
         if let Imp::Wheel(w) = &mut self.imp {
             w.cancel(id);
+            self.known = Time::MAX;
         }
     }
 

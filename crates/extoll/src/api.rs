@@ -5,7 +5,7 @@
 use std::cell::Cell;
 
 use tc_mem::{layout, Addr, RegionKind};
-use tc_pcie::Processor;
+use tc_pcie::{spin_word, Processor, SpinOp};
 
 use crate::engine::ExtollNic;
 use crate::notif::{NotifQueueLayout, Notification};
@@ -50,12 +50,19 @@ impl NotifConsumer {
     }
 
     /// Spin until a record is pending, then return it (still not freed).
+    /// Each iteration is one [`NotifConsumer::try_poll`] probe.
     pub async fn wait<P: Processor>(&self, p: &P) -> Notification {
-        loop {
-            if let Some(n) = self.try_poll(p).await {
-                return n;
-            }
-        }
+        let slot = self.layout.ring.slot(self.rp.get());
+        let probe = [
+            SpinOp::Load(slot, 8),
+            SpinOp::Load(slot + 8, 8),
+            SpinOp::Instr(40),
+        ];
+        let decode = |b: &[u8]| Notification::decode([spin_word(b, 0, 8), spin_word(b, 8, 8)]);
+        let b = p
+            .spin_until(&probe, Some(&self.poll_spins), |b| decode(b).is_some())
+            .await;
+        decode(&b).expect("spin ended on a pending record")
     }
 
     /// Free the record at the head: zero it (so the slot polls as free

@@ -10,9 +10,10 @@
 //! cheap, §V-A.3).
 
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use tc_mem::Addr;
+use tc_trace::fx::FxHashSet;
 
 /// L2 residency model.
 pub struct L2Model {
@@ -22,7 +23,7 @@ pub struct L2Model {
 }
 
 struct L2State {
-    resident: HashSet<u64>,
+    resident: FxHashSet<u64>,
     fifo: VecDeque<u64>,
 }
 
@@ -34,7 +35,7 @@ impl L2Model {
             line_bytes,
             capacity_lines: (capacity_bytes / line_bytes) as usize,
             state: RefCell::new(L2State {
-                resident: HashSet::new(),
+                resident: FxHashSet::default(),
                 fifo: VecDeque::new(),
             }),
         }
@@ -45,15 +46,30 @@ impl L2Model {
         addr / self.line_bytes
     }
 
-    fn insert(&self, line: u64, st: &mut L2State) {
-        if st.resident.insert(line) {
-            st.fifo.push_back(line);
-            if st.fifo.len() > self.capacity_lines {
-                if let Some(evict) = st.fifo.pop_front() {
-                    st.resident.remove(&evict);
-                }
+    /// Fill `line`; returns whether it was newly inserted (which may
+    /// evict another).
+    fn insert(&self, line: u64, st: &mut L2State) -> bool {
+        if !st.resident.insert(line) {
+            return false;
+        }
+        st.fifo.push_back(line);
+        if st.fifo.len() > self.capacity_lines {
+            if let Some(evict) = st.fifo.pop_front() {
+                st.resident.remove(&evict);
             }
         }
+        true
+    }
+
+    /// Number of lines `len` bytes at `addr` span.
+    pub fn lines(&self, addr: Addr, len: u64) -> u64 {
+        self.line(addr + len.max(1) - 1) - self.line(addr) + 1
+    }
+
+    /// Whether every line of `len` bytes at `addr` is resident.
+    pub fn all_resident(&self, addr: Addr, len: u64) -> bool {
+        let st = self.state.borrow();
+        (self.line(addr)..=self.line(addr + len.max(1) - 1)).all(|l| st.resident.contains(&l))
     }
 
     /// Access `len` bytes at `addr` for read; returns `(hit_lines,
@@ -75,13 +91,14 @@ impl L2Model {
     }
 
     /// Write-allocate `len` bytes at `addr` (stores and inbound P2P DMA).
-    pub fn write(&self, addr: Addr, len: u64) {
+    /// Returns the number of newly inserted lines.
+    pub fn write(&self, addr: Addr, len: u64) -> u64 {
         let mut st = self.state.borrow_mut();
         let first = self.line(addr);
         let last = self.line(addr + len.max(1) - 1);
-        for line in first..=last {
-            self.insert(line, &mut st);
-        }
+        (first..=last)
+            .map(|line| u64::from(self.insert(line, &mut st)))
+            .sum()
     }
 
     /// Whether the line containing `addr` is resident.
@@ -113,12 +130,17 @@ mod tests {
         assert_eq!(l2.read(0x100, 8), (1, 0));
         assert_eq!(l2.read(0x108, 8), (1, 0)); // same line
         assert_eq!(l2.read(0x180, 8), (0, 1)); // next line
+        assert_eq!(l2.lines(0x100, 8), 1);
+        assert_eq!(l2.lines(0x170, 32), 2);
+        assert!(l2.all_resident(0x100, 0x100));
+        assert!(!l2.all_resident(0x100, 0x101));
     }
 
     #[test]
     fn write_allocates_for_future_reads() {
         let l2 = L2Model::new(1024, 128);
-        l2.write(0x200, 8);
+        assert_eq!(l2.write(0x200, 8), 1);
+        assert_eq!(l2.write(0x200, 8), 0, "already resident");
         assert_eq!(l2.read(0x200, 8), (1, 0));
     }
 

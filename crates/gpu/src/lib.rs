@@ -28,6 +28,7 @@ pub mod config;
 pub mod counters;
 pub mod kernel;
 pub mod l2;
+mod spin;
 pub mod thread;
 
 pub use config::GpuConfig;
@@ -169,6 +170,14 @@ impl Gpu {
         &self.inner.store_path
     }
 
+    /// An L2 line was inserted (possibly evicting another): wake any
+    /// elided spin-wait that relies on this GPU's L2 residency.
+    pub(crate) fn l2_changed(&self) {
+        self.inner
+            .sim
+            .spin_touch(&self.inner.l2 as *const L2Model as usize as u64);
+    }
+
     /// An ad-hoc thread context (outside any kernel) — used by unit tests
     /// and by simple single-thread device code.
     pub fn thread(&self) -> GpuThread {
@@ -217,7 +226,9 @@ impl Gpu {
         self.inner.endpoint.dma_read_bulk(src_host, &mut buf).await;
         self.inner.bus.write(dst_dev, &buf);
         // Fill the L2 like any device-memory write burst would.
-        self.inner.l2.write(dst_dev, len);
+        if self.inner.l2.write(dst_dev, len) > 0 {
+            self.l2_changed();
+        }
     }
 }
 

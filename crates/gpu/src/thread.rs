@@ -9,12 +9,21 @@
 use std::rc::Rc;
 
 use tc_mem::{Addr, RegionKind};
+use tc_pcie::{spin_buf, spin_op, SpinOp};
+use tc_trace::Counter;
 
 use crate::counters::GpuCounters;
+use crate::spin::Plan;
 use crate::Gpu;
 
 /// Granularity of sysmem transactions in the nvprof counters the paper uses.
 const SYSMEM_TX_BYTES: u64 = 32;
+
+/// 32-byte sysmem transactions of a `len`-byte access.
+#[inline]
+pub(crate) fn sectors(len: u64) -> u64 {
+    len.div_ceil(SYSMEM_TX_BYTES).max(1)
+}
 
 /// One GPU thread's execution context.
 #[derive(Clone)]
@@ -44,11 +53,6 @@ impl GpuThread {
     /// The shared GPU counters.
     pub fn counters(&self) -> &GpuCounters {
         self.gpu.counters()
-    }
-
-    #[inline]
-    fn sectors(len: u64) -> u64 {
-        len.div_ceil(SYSMEM_TX_BYTES).max(1)
     }
 
     /// Execute `n` dependent arithmetic/control instructions.
@@ -103,6 +107,9 @@ impl GpuThread {
                 assert_eq!(node, gpu.node(), "GPU load from remote device memory");
                 GpuCounters::bump(&c.globmem64_reads, len.div_ceil(8));
                 let (hits, misses) = gpu.l2().read(addr, len);
+                if misses > 0 {
+                    gpu.l2_changed();
+                }
                 GpuCounters::bump(&c.l2_read_requests, hits + misses);
                 GpuCounters::bump(&c.l2_read_hits, hits);
                 GpuCounters::bump(&c.l2_read_misses, misses);
@@ -117,7 +124,7 @@ impl GpuThread {
                 gpu.bus().read(addr, buf);
             }
             RegionKind::HostDram { .. } | RegionKind::Mmio { .. } => {
-                let sectors = Self::sectors(len);
+                let sectors = sectors(len);
                 GpuCounters::bump(&c.sysmem_reads, sectors);
                 GpuCounters::bump(&c.l2_read_requests, sectors);
                 GpuCounters::bump(&c.l2_read_misses, sectors);
@@ -154,13 +161,15 @@ impl GpuThread {
             RegionKind::GpuDram { node } | RegionKind::GpuBar { node } => {
                 assert_eq!(node, gpu.node(), "GPU store to remote device memory");
                 GpuCounters::bump(&c.globmem64_writes, len.div_ceil(8));
-                gpu.l2().write(addr, len);
+                if gpu.l2().write(addr, len) > 0 {
+                    gpu.l2_changed();
+                }
                 GpuCounters::bump(&c.l2_write_requests, len.div_ceil(32).max(1));
                 gpu.bus().write(addr, data);
                 gpu.sim().delay(cfg.store_time()).await;
             }
             RegionKind::HostDram { .. } | RegionKind::Mmio { .. } => {
-                let sectors = Self::sectors(len);
+                let sectors = sectors(len);
                 GpuCounters::bump(&c.sysmem_writes, sectors);
                 GpuCounters::bump(&c.l2_write_requests, sectors);
                 // All threads share one store path to PCIe.
@@ -276,6 +285,53 @@ impl tc_pcie::Processor for GpuThread {
 
     async fn fence(&self) {
         self.fence_system().await;
+    }
+
+    /// Explicit iterations until one fails that may be elided (see the
+    /// crate's `spin` module); then the thread parks until a collision
+    /// wakes it, and finishes the iteration it wakes in explicitly.
+    async fn spin_until(
+        &self,
+        ops: &[SpinOp],
+        misses: Option<&Counter>,
+        mut done: impl FnMut(&[u8]) -> bool,
+    ) -> Vec<u8> {
+        let sim = self.gpu.sim();
+        let mut buf = spin_buf(ops);
+        let mut took = vec![0; ops.len()];
+        loop {
+            let mut off = 0;
+            for (k, &op) in ops.iter().enumerate() {
+                let t = sim.now();
+                spin_op(self, op, &mut buf, off).await;
+                took[k] = sim.now() - t;
+                off += op.bytes();
+            }
+            if done(&buf) {
+                return buf;
+            }
+            if let Some(c) = misses {
+                c.inc();
+            }
+            let Some(plan) = sim
+                .elision_enabled()
+                .then(|| Plan::of(self, ops, &took))
+                .flatten()
+            else {
+                continue;
+            };
+            let Some(spec) = self.sleep_spec(&plan, ops, &buf, misses) else {
+                continue;
+            };
+            let j = sim.sleep_on_grid(spec).await;
+            self.resume_spin(&plan, ops, j, &mut buf).await;
+            if done(&buf) {
+                return buf;
+            }
+            if let Some(c) = misses {
+                c.inc();
+            }
+        }
     }
 }
 

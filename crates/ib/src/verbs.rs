@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use tc_gpu::Gpu;
 use tc_mem::{layout, Addr, Heap, RegionKind, Ring};
-use tc_pcie::Processor;
+use tc_pcie::{spin_word, Processor, SpinOp};
 
 use crate::hca::IbHca;
 use crate::mr::{Access, MemoryRegion};
@@ -260,6 +260,13 @@ impl IbvCq {
     /// byte-swap and translate the CQE, look up its QP, free the slot and
     /// publish the consumer index.
     pub async fn poll<P: Processor>(&self, p: &P) -> Option<WorkCompletion> {
+        let (ci, slot, cqe) = self.probe(p).await;
+        Some(self.complete(p, ci, slot, cqe?).await)
+    }
+
+    /// One probe of the queue head: consumer index, slot, and the CQE if
+    /// one is there.
+    async fn probe<P: Processor>(&self, p: &P) -> (u32, Addr, Option<Cqe>) {
         // Load the software consumer index.
         let ci = p.ld_state(self.state).await as u32;
         let slot = self.ring.slot(ci as u64);
@@ -267,12 +274,17 @@ impl IbvCq {
         p.ld_bytes(slot, &mut raw).await;
         // Ownership/validity check and branch.
         p.instr(14).await;
-        let Some(cqe) = Cqe::decode(&raw) else {
+        let cqe = Cqe::decode(&raw);
+        if cqe.is_none() {
             // Empty probe: one spin of a poll loop (counted, not charged —
             // the probe's loads above already paid the memory latency).
             self.hca.inner.stats.cq_poll_spins.inc();
-            return None;
-        };
+        }
+        (ci, slot, cqe)
+    }
+
+    /// The rest of `ibv_poll_cq` once a probe found `cqe` in `slot`.
+    async fn complete<P: Processor>(&self, p: &P, ci: u32, slot: Addr, cqe: Cqe) -> WorkCompletion {
         // Field conversion from big-endian.
         p.instr(46).await;
         // "The associated QP has to be picked out of the list of QPs":
@@ -298,23 +310,38 @@ impl IbvCq {
         p.st_u32(self.ci_db_record, ci.wrapping_add(1)).await;
         // Consumer-index arithmetic, lock/unlock bookkeeping.
         p.instr(120).await;
-        Some(WorkCompletion {
+        WorkCompletion {
             qpn: cqe.qpn,
             opcode: cqe.opcode,
             status: cqe.status,
             byte_count: cqe.byte_count,
             imm: cqe.imm,
             wqe_index: cqe.wqe_index,
-        })
+        }
     }
 
     /// Spin on [`IbvCq::poll`] until a completion arrives.
     pub async fn wait<P: Processor>(&self, p: &P) -> WorkCompletion {
-        loop {
-            if let Some(wc) = self.poll(p).await {
-                return wc;
+        let (ci, slot, cqe) = self.probe(p).await;
+        let cqe = match cqe {
+            Some(cqe) => cqe,
+            None => {
+                // Only a completion moves the consumer index, so every
+                // further probe polls the same slot.
+                let probe = [
+                    SpinOp::LoadState(self.state),
+                    SpinOp::Load(slot, CQ_STRIDE as u32),
+                    SpinOp::Instr(14),
+                ];
+                let spins = &self.hca.inner.stats.cq_poll_spins;
+                let b = p
+                    .spin_until(&probe, Some(spins), |b| Cqe::decode(&b[8..]).is_some())
+                    .await;
+                debug_assert_eq!(spin_word(&b, 0, 8) as u32, ci, "consumer index moved");
+                Cqe::decode(&b[8..]).expect("spin ended on a valid CQE")
             }
-        }
+        };
+        self.complete(p, ci, slot, cqe).await
     }
 }
 

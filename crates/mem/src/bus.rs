@@ -102,16 +102,21 @@ impl Region {
     }
 }
 
-/// Observer of data-plane RAM traffic, for dependency tracking (e.g. the
-/// causal profiler's observed-write edges). Callbacks fire *after* alias
-/// resolution, so a store through a BAR window and a poll of the aliased
-/// DRAM meet at the same physical address. Watches must only observe —
-/// they may not access the bus or schedule simulation work.
+/// Observer of data-plane RAM traffic: the causal profiler's
+/// observed-write edges and the wake-up of elided GPU spin-waits both sit
+/// behind this one seam. Callbacks fire *after* alias resolution, so a
+/// store through a BAR window and a poll of the aliased DRAM meet at the
+/// same physical address. Watches must not access the bus.
 pub trait BusWatch {
-    /// An 8-byte-aligned word at `addr` was (possibly partially) written.
-    fn store(&self, addr: Addr);
+    /// The `len` bytes at `addr..addr + len` (`len > 0`) were written.
+    fn store(&self, addr: Addr, len: u64);
     /// A small (≤ 8 byte) read touched the 8-byte-aligned word at `addr`.
     fn load(&self, addr: Addr);
+    /// Whether this watch wakes sleeping spin-waits on stores. A spinner
+    /// only sleeps on a bus whose watch does (see [`Bus::watch`]).
+    fn wakes_spinners(&self) -> bool {
+        false
+    }
 }
 
 /// The fabric bus. Cheap to clone (shared).
@@ -133,6 +138,24 @@ impl Bus {
     /// Install (or clear) the data-plane watch.
     pub fn set_watch(&self, watch: Option<Rc<dyn BusWatch>>) {
         *self.watch.borrow_mut() = watch;
+    }
+
+    /// The installed data-plane watch, if any.
+    pub fn watch(&self) -> Option<Rc<dyn BusWatch>> {
+        self.watch.borrow().clone()
+    }
+
+    /// The physical address behind `addr`: alias windows (the GPUDirect
+    /// BAR aperture) resolve to their target, everything else is itself.
+    /// This is the address a [`BusWatch`] sees for accesses to `addr`.
+    pub fn resolve(&self, addr: Addr) -> Addr {
+        match self.with_region(addr, |r| match r {
+            Region::Alias { base, target, .. } => Some(target + (addr - base)),
+            _ => None,
+        }) {
+            Some(t) => self.resolve(t),
+            None => addr,
+        }
     }
 
     fn insert(&self, r: Region) {
@@ -251,15 +274,7 @@ impl Bus {
                 mem.write(addr, data);
                 if !data.is_empty() {
                     if let Some(w) = &*self.watch.borrow() {
-                        // First and last words: a payload's body is never
-                        // polled, its edges (tags, markers, notification
-                        // records) are.
-                        let first = addr & !7;
-                        let last = (addr + data.len() as u64 - 1) & !7;
-                        w.store(first);
-                        if last != first {
-                            w.store(last);
-                        }
+                        w.store(addr, data.len() as u64);
                     }
                 }
                 Act::Done
@@ -398,8 +413,9 @@ mod tests {
         ops: RefCell<Vec<(char, Addr)>>,
     }
     impl BusWatch for RecWatch {
-        fn store(&self, addr: Addr) {
+        fn store(&self, addr: Addr, len: u64) {
             self.ops.borrow_mut().push(('s', addr));
+            self.ops.borrow_mut().push(('n', len));
         }
         fn load(&self, addr: Addr) {
             self.ops.borrow_mut().push(('l', addr));
@@ -407,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn watch_sees_aligned_stores_and_word_loads_after_aliasing() {
+    fn watch_sees_store_ranges_and_word_loads_after_aliasing() {
         let bus = bus_with_ram();
         bus.add_alias(
             layout::gpu_bar(0),
@@ -419,11 +435,11 @@ mod tests {
         bus.set_watch(Some(w.clone()));
 
         let base = layout::host_dram(0);
-        // Word write + word read note one aligned address each.
+        // A word write notes its range, a word read its aligned word.
         bus.write_u64(base + 0x10, 1);
         assert_eq!(bus.read_u64(base + 0x10), 1);
-        // Bulk write notes first and last words only.
-        bus.write(base + 0x100, &[0u8; 64]);
+        // A bulk write notes its whole (unaligned) range.
+        bus.write(base + 0x104, &[0u8; 60]);
         // Bulk read is not dependency-relevant.
         let mut big = [0u8; 64];
         bus.read(base + 0x100, &mut big);
@@ -436,18 +452,42 @@ mod tests {
             *w.ops.borrow(),
             vec![
                 ('s', base + 0x10),
+                ('n', 8),
                 ('l', base + 0x10),
-                ('s', base + 0x100),
-                ('s', base + 0x138),
+                ('s', base + 0x104),
+                ('n', 60),
                 ('s', layout::gpu_dram(0) + 0x40),
+                ('n', 8),
                 ('l', layout::gpu_dram(0) + 0x40),
             ]
         );
+        assert!(!w.wakes_spinners());
+        assert!(bus.watch().is_some());
 
         // Clearing the watch stops observation.
         bus.set_watch(None);
         bus.write_u64(base + 0x10, 3);
-        assert_eq!(w.ops.borrow().len(), 6);
+        assert_eq!(w.ops.borrow().len(), 8);
+        assert!(bus.watch().is_none());
+    }
+
+    #[test]
+    fn resolve_follows_alias_windows() {
+        let bus = bus_with_ram();
+        bus.add_alias(
+            layout::gpu_bar(0),
+            1 << 20,
+            layout::gpu_dram(0),
+            RegionKind::GpuBar { node: 0 },
+        );
+        assert_eq!(
+            bus.resolve(layout::gpu_bar(0) + 0x48),
+            layout::gpu_dram(0) + 0x48
+        );
+        assert_eq!(
+            bus.resolve(layout::host_dram(0) + 8),
+            layout::host_dram(0) + 8
+        );
     }
 
     #[test]

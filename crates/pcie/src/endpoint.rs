@@ -19,6 +19,9 @@ pub struct Endpoint {
     stats: Rc<PcieStats>,
     link: Link,
     name: Rc<str>,
+    /// Process name of this endpoint's posted-write deliveries
+    /// (`{name}.pw`), built once instead of per write.
+    pw_name: Rc<str>,
     /// Trace track for this endpoint's events, e.g. `pcie0.nic`.
     track: Rc<str>,
 }
@@ -39,6 +42,7 @@ impl Endpoint {
             cfg,
             stats,
             name: name.into(),
+            pw_name: format!("{name}.pw").into(),
             track: track.into(),
         }
     }
@@ -89,7 +93,7 @@ impl Endpoint {
         // Delivery happens asynchronously; `reserve` above hands out
         // monotonically non-decreasing completion times per endpoint, and the
         // executor breaks timestamp ties in spawn order, so ordering holds.
-        self.sim.spawn(&format!("{}.pw", self.name), async move {
+        self.sim.spawn(&self.pw_name, async move {
             let now = sim.now();
             sim.delay(deliver_at - now).await;
             bus.write(addr, &data);
@@ -101,18 +105,31 @@ impl Endpoint {
     /// Issue a small **non-posted read**: stalls the caller for a full PCIe
     /// round trip; data is sampled at completion time.
     pub async fn read(&self, addr: Addr, buf: &mut [u8]) {
+        let issued = self.sim.now();
+        let end = self.issue_read(buf.len() as u64);
+        self.sim.delay(end - issued).await;
+        self.finish_read(addr, buf, issued);
+    }
+
+    /// The issue side of [`Endpoint::read`]: count it and reserve the
+    /// link. Returns the completion time.
+    fn issue_read(&self, len: u64) -> Time {
         PcieStats::bump(&self.stats.reads, 1);
-        PcieStats::bump(&self.stats.read_bytes, buf.len() as u64);
-        let wire = self.cfg.wire_time(buf.len() as u64, self.cfg.dma_bw);
-        let end = self.link.reserve(wire) + self.cfg.read_rtt;
-        let now = self.sim.now();
-        self.sim.delay(end - now).await;
+        PcieStats::bump(&self.stats.read_bytes, len);
+        let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
+        self.link.reserve(wire) + self.cfg.read_rtt
+    }
+
+    /// The completion side of a non-posted read issued at `issued`:
+    /// sample the data and record the round trip. Public so an elided
+    /// GPU spin-wait can complete a read whose issue side it replayed.
+    pub fn finish_read(&self, addr: Addr, buf: &mut [u8], issued: Time) {
         self.bus.read(addr, buf);
-        self.stats.np_read_ps.record(self.sim.now() - now);
+        self.stats.np_read_ps.record(self.sim.now() - issued);
         let rec = self.sim.recorder();
         if rec.on() {
             rec.span(
-                now,
+                issued,
                 self.sim.now(),
                 "pcie",
                 self.track.to_string(),
@@ -120,6 +137,22 @@ impl Endpoint {
                 vec![("addr", addr.into()), ("bytes", (buf.len() as u64).into())],
             );
         }
+    }
+
+    /// Replay the issue side of `n` uncontended non-posted reads of `len`
+    /// bytes, the last issued at `last_at`: the counters and link state
+    /// `n` calls of [`Endpoint::read`] on an idle link leave behind.
+    pub fn replay_read_issue(&self, n: u64, len: u64, last_at: Time) {
+        PcieStats::bump(&self.stats.reads, n);
+        PcieStats::bump(&self.stats.read_bytes, n * len);
+        let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
+        self.link.replay(n, wire, last_at);
+    }
+
+    /// Replay the completion side of `n` uncontended reads of `len` bytes
+    /// (their round-trip samples).
+    pub fn replay_read_done(&self, n: u64, len: u64) {
+        self.stats.np_read_ps.record_n(self.read_cost(len), n);
     }
 
     /// Read a little-endian `u64` with a non-posted read.

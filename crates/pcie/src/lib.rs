@@ -36,7 +36,9 @@ pub mod stats;
 pub use config::PcieConfig;
 pub use endpoint::Endpoint;
 pub use link::Link;
-pub use proc::{CpuConfig, CpuThread, Processor};
+pub use proc::{
+    spin_buf, spin_on_word, spin_op, spin_word, CpuConfig, CpuThread, Processor, SpinOp,
+};
 pub use stats::PcieStats;
 
 use std::rc::Rc;

@@ -33,8 +33,10 @@ impl Link {
     }
 
     /// Reserve the link for `dur`; returns the completion time. Does not
-    /// block the caller — combine with `Sim::delay` to wait.
+    /// block the caller — combine with `Sim::delay` to wait. Wakes any
+    /// elided spin-wait whose iteration uses this link first.
     pub fn reserve(&self, dur: Time) -> Time {
+        self.inner.sim.spin_touch(self.key());
         let now = self.inner.sim.now();
         let start = now.max(self.inner.busy_until.get());
         let end = start + dur;
@@ -48,6 +50,23 @@ impl Link {
         let end = self.reserve(dur);
         let now = self.inner.sim.now();
         self.inner.sim.delay(end - now).await;
+    }
+
+    /// Identity of this link for [`Sim::spin_touch`].
+    pub fn key(&self) -> u64 {
+        Rc::as_ptr(&self.inner) as usize as u64
+    }
+
+    /// Account for `n` reservations of `dur` that each found the link
+    /// idle, the last one made at `last_start` — the state `n` such
+    /// [`Link::reserve`] calls would have left (used by elided spin-waits).
+    pub fn replay(&self, n: u64, dur: Time, last_start: Time) {
+        if n > 0 {
+            self.inner.busy_until.set(last_start + dur);
+            self.inner
+                .total_busy
+                .set(self.inner.total_busy.get() + n * dur);
+        }
     }
 
     /// Time at which the link next becomes idle.

@@ -17,6 +17,74 @@ use tc_trace::Counter;
 
 use crate::endpoint::Endpoint;
 
+/// One operation of a spin-loop iteration (see [`Processor::spin_until`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpinOp {
+    /// A plain global load of `len` bytes at the address
+    /// ([`Processor::ld_bytes`]).
+    Load(Addr, u32),
+    /// A load of a cache-hot software-state word ([`Processor::ld_state`]).
+    LoadState(Addr),
+    /// `n` dependent instructions (compare, branch, loop bookkeeping).
+    Instr(u64),
+}
+
+impl SpinOp {
+    /// Bytes this operation loads.
+    pub fn bytes(self) -> usize {
+        match self {
+            SpinOp::Load(_, len) => len as usize,
+            SpinOp::LoadState(_) => 8,
+            SpinOp::Instr(_) => 0,
+        }
+    }
+}
+
+/// A zeroed buffer for the bytes one iteration of `ops` loads: every
+/// load's bytes, concatenated in program order.
+pub fn spin_buf(ops: &[SpinOp]) -> Vec<u8> {
+    vec![0u8; ops.iter().map(|op| op.bytes()).sum()]
+}
+
+/// The little-endian word of up to eight loaded bytes at `off` of a spin
+/// buffer (see [`spin_buf`]); `len` selects a 4- or 8-byte load.
+pub fn spin_word(buf: &[u8], off: usize, len: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b[..len].copy_from_slice(&buf[off..off + len]);
+    u64::from_le_bytes(b)
+}
+
+/// Run one spin-iteration operation on `p`, storing what it loads at byte
+/// `off` of `buf`.
+pub async fn spin_op<P: Processor + ?Sized>(p: &P, op: SpinOp, buf: &mut [u8], off: usize) {
+    match op {
+        SpinOp::Load(addr, len) => p.ld_bytes(addr, &mut buf[off..off + len as usize]).await,
+        SpinOp::LoadState(addr) => {
+            let v = p.ld_state(addr).await;
+            buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        SpinOp::Instr(n) => p.instr(n).await,
+    }
+}
+
+/// Spin on one word: load `len` (4 or 8) bytes at `addr`, run `instrs`
+/// instructions (compare, branch, recompute the volatile pointer), and
+/// repeat until `done` accepts the value, which is returned. The
+/// single-word form of [`Processor::spin_until`].
+pub async fn spin_on_word<P: Processor>(
+    p: &P,
+    addr: Addr,
+    len: u32,
+    instrs: u64,
+    mut done: impl FnMut(u64) -> bool,
+) -> u64 {
+    let probe = [SpinOp::Load(addr, len), SpinOp::Instr(instrs)];
+    let b = p
+        .spin_until(&probe, None, |b| done(spin_word(b, 0, len as usize)))
+        .await;
+    spin_word(&b, 0, len as usize)
+}
+
 /// A processor that can execute API code against simulated memory.
 ///
 /// Implementations charge their own timing and performance counters.
@@ -51,6 +119,38 @@ pub trait Processor {
     /// Store to a cache-hot software-structure word. Default: plain store.
     async fn st_state(&self, addr: Addr, v: u64) {
         self.st_u64(addr, v).await;
+    }
+
+    /// The one polling primitive: repeat the iteration `ops` (run in
+    /// program order) until `done` accepts the bytes it loaded (see
+    /// [`spin_buf`]), bumping `misses` once per rejected iteration.
+    /// Returns the loaded bytes of the accepting iteration.
+    ///
+    /// Every completion wait in the API layers goes through here. The
+    /// default steps every operation explicitly; a processor may instead
+    /// elide iterations it can prove identical (the GPU does, see
+    /// `tc_gpu`), as long as simulated time, counters and memory come out
+    /// exactly as explicit stepping would leave them.
+    async fn spin_until(
+        &self,
+        ops: &[SpinOp],
+        misses: Option<&Counter>,
+        mut done: impl FnMut(&[u8]) -> bool,
+    ) -> Vec<u8> {
+        let mut buf = spin_buf(ops);
+        loop {
+            let mut off = 0;
+            for &op in ops {
+                spin_op(self, op, &mut buf, off).await;
+                off += op.bytes();
+            }
+            if done(&buf) {
+                return buf;
+            }
+            if let Some(c) = misses {
+                c.inc();
+            }
+        }
     }
 }
 

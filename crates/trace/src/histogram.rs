@@ -86,6 +86,23 @@ impl Histogram {
         b.set(b.get() + 1);
     }
 
+    /// Record `n` samples of the same value `v`: identical to `n` calls
+    /// of [`Histogram::record`] (the sum saturates the same way).
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let c = &self.cell;
+        c.count.set(c.count.get() + n);
+        c.sum.set(c.sum.get().saturating_add(v.saturating_mul(n)));
+        if v > c.max.get() {
+            c.max.set(v);
+        }
+        let b = &c.buckets[bucket_index(v)];
+        b.set(b.get() + n);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.cell.count.get()
@@ -273,6 +290,18 @@ mod tests {
         assert_eq!(bucket_bound(0), 0);
         assert_eq!(bucket_bound(2), 3);
         assert_eq!(bucket_bound(64), u64::MAX);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let (a, b) = (Histogram::detached(), Histogram::detached());
+        for (v, n) in [(7u64, 3u64), (1000, 0), (u64::MAX / 2, 4), (5, 1)] {
+            for _ in 0..n {
+                a.record(v);
+            }
+            b.record_n(v, n);
+        }
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`series`] — windowed simulated-time telemetry: registry deltas
 //!   sampled on a fixed window grid, rendered as `tc-timeseries-v1` JSON
 //!   or Perfetto counter tracks.
+//! * [`fx::FxHasher`] — the in-tree FxHash for simulation-internal map
+//!   keys (process names, memory pages, cache lines).
 //! * [`rng::XorShift64`] — a tiny deterministic PRNG used by the
 //!   randomized property tests, so the default workspace builds with zero
 //!   external crates (the build environment has no registry access).
@@ -36,6 +38,7 @@
 pub mod causal;
 pub mod chrome;
 pub mod counter;
+pub mod fx;
 pub mod gauge;
 pub mod histogram;
 pub mod recorder;

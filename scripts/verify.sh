@@ -13,6 +13,9 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test -q
 
+echo "== crate suites (desim, gpu, extoll, ib, ... incl. elided-vs-explicit spin tests) =="
+cargo test --workspace -q
+
 echo "== lint: rustfmt (check only) =="
 cargo fmt --check
 
