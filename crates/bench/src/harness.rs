@@ -6,7 +6,8 @@
 //! (simulated latencies/counters) once, then times the simulator itself
 //! with this harness as a wall-clock regression guard.
 //!
-//! Sample count defaults to 10; override with `TC_BENCH_SAMPLES=n`.
+//! Sample count defaults to 10; override with `TC_BENCH_SAMPLES=n` (a
+//! positive integer; anything else is rejected with an error).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -20,12 +21,14 @@ pub struct Harness {
 
 impl Harness {
     /// Create a group named `group` (conventionally the bench target name).
+    /// Exits with status 2 if `TC_BENCH_SAMPLES` is set but not a positive
+    /// integer.
     pub fn new(group: &str) -> Self {
-        let samples = std::env::var("TC_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(10);
+        let var = std::env::var_os("TC_BENCH_SAMPLES").map(|v| v.to_string_lossy().into_owned());
+        let samples = samples_from(var.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
         Harness {
             group: group.to_string(),
             samples,
@@ -123,6 +126,18 @@ impl Harness {
     }
 }
 
+/// The sample count a `TC_BENCH_SAMPLES` value asks for: 10 when unset,
+/// otherwise the value, which must be a positive integer.
+pub fn samples_from(var: Option<&str>) -> Result<u32, String> {
+    let Some(s) = var else { return Ok(10) };
+    match s.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "TC_BENCH_SAMPLES must be a positive integer, got {s:?}"
+        )),
+    }
+}
+
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns >= 1_000_000_000 {
@@ -147,6 +162,16 @@ mod tests {
         h.bench("noop", || calls += 1);
         // One warm-up plus `samples` timed runs.
         assert_eq!(calls, h.samples + 1);
+    }
+
+    #[test]
+    fn sample_counts_must_be_positive_integers() {
+        assert_eq!(samples_from(None), Ok(10));
+        assert_eq!(samples_from(Some("3")), Ok(3));
+        for bad in ["0", "", "ten", "-1", "2.5", " 4"] {
+            let err = samples_from(Some(bad)).unwrap_err();
+            assert!(err.contains("TC_BENCH_SAMPLES") && err.contains(&format!("{bad:?}")));
+        }
     }
 
     #[test]

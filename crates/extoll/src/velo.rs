@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 
 use tc_desim::sync::Channel;
 use tc_mem::{Addr, MmioDevice, Ring};
-use tc_pcie::Processor;
+use tc_pcie::{spin_word, Processor, SpinOp};
 
 /// Maximum VELO payload per message, bytes.
 pub const VELO_MAX_PAYLOAD: usize = 64;
@@ -192,7 +192,34 @@ impl MailboxConsumer {
         let slot = self.mailbox.ring.slot(self.rp.get());
         let status = p.ld_u64(slot).await;
         p.instr(6).await;
-        let (src_node, src_port, len) = Mailbox::decode_status(status)?;
+        let status = Mailbox::decode_status(status)?;
+        Some(self.take(p, slot, status).await)
+    }
+
+    /// Spin until a message arrives. Each iteration is one
+    /// [`MailboxConsumer::try_recv`] probe of the status word.
+    pub async fn recv<P: Processor>(&self, p: &P) -> (u16, u16, Vec<u8>) {
+        let slot = self.mailbox.ring.slot(self.rp.get());
+        let probe = [SpinOp::Load(slot, 8), SpinOp::Instr(6)];
+        let b = p
+            .spin_until(&probe, None, |b| {
+                Mailbox::decode_status(spin_word(b, 0, 8)).is_some()
+            })
+            .await;
+        let status = Mailbox::decode_status(spin_word(&b, 0, 8));
+        self.take(p, slot, status.expect("spin ended on a valid status"))
+            .await
+    }
+
+    /// Consume the message whose status `(src_node, src_port, len)` the
+    /// head `slot` holds: read the payload, free the slot and publish the
+    /// read pointer.
+    async fn take<P: Processor>(
+        &self,
+        p: &P,
+        slot: Addr,
+        (src_node, src_port, len): (u16, u16, u8),
+    ) -> (u16, u16, Vec<u8>) {
         let mut data = vec![0u8; len as usize];
         if len > 0 {
             p.ld_bytes(slot + 8, &mut data).await;
@@ -202,16 +229,7 @@ impl MailboxConsumer {
         self.rp.set(self.rp.get() + 1);
         p.st_u32(self.mailbox.rp_addr, self.rp.get() as u32).await;
         p.instr(6).await;
-        Some((src_node, src_port, data))
-    }
-
-    /// Spin until a message arrives.
-    pub async fn recv<P: Processor>(&self, p: &P) -> (u16, u16, Vec<u8>) {
-        loop {
-            if let Some(m) = self.try_recv(p).await {
-                return m;
-            }
-        }
+        (src_node, src_port, data)
     }
 
     /// Messages consumed so far.

@@ -1,11 +1,11 @@
 //! Exact spin-wait elision for GPU threads.
 //!
-//! [`GpuThread`]'s [`Processor::spin_until`] runs every iteration of a
-//! completion wait explicitly until one fails whose loads are all
-//! L2-hit device-memory loads or uncontended system-memory loads over the
-//! GPU's own PCIe link. Nothing such an iteration does can change until
-//! another party writes the polled memory, evicts the polled lines or
-//! uses the link, so the thread then parks on its step grid
+//! The shared park loop, [`Processor::spin_until`], asks [`GpuThread`]
+//! after every failed iteration whether it may park. It may when every
+//! load was an L2-hit device-memory load or an uncontended system-memory
+//! load over the GPU's own PCIe link. Nothing such an iteration does can
+//! change until another party writes the polled memory, evicts the polled
+//! lines or uses the link, so the thread then parks on its step grid
 //! ([`tc_desim::spin`]) instead of stepping: the executor wakes it at
 //! exactly the step it would be in when one of those happens, and
 //! [`Charger`] charges every elided step's counters, link occupancy and
@@ -14,34 +14,16 @@
 //! [`Processor::spin_until`]: tc_pcie::Processor::spin_until
 
 use std::ops::Range;
-use std::rc::Rc;
 
 use tc_desim::time::{ns, Time};
-use tc_desim::{Sim, SleepSpec, StepGrid};
-use tc_mem::{Addr, BusWatch, RegionKind};
+use tc_desim::{SleepSpec, StepGrid};
+use tc_mem::{Addr, RegionKind};
+use tc_pcie::spin::{loads_unchanged, spin_offsets, spin_watch_ready, Occurrences};
 use tc_pcie::{spin_op, SpinOp};
 use tc_trace::Counter;
 
 use crate::counters::GpuCounters;
 use crate::thread::{sectors, GpuThread};
-
-/// Bus watch that wakes sleeping spinners on overlapping stores.
-/// Installed on a bus the first time a GPU thread parks there.
-struct SpinWatch {
-    sim: Sim,
-}
-
-impl BusWatch for SpinWatch {
-    fn store(&self, addr: Addr, len: u64) {
-        self.sim.spin_write(addr, addr + len);
-    }
-
-    fn load(&self, _addr: Addr) {}
-
-    fn wakes_spinners(&self) -> bool {
-        true
-    }
-}
 
 /// One timed step of an elidable iteration: the part of an operation
 /// between two timer boundaries.
@@ -70,7 +52,7 @@ impl Step {
 
 /// The step structure of an explicit iteration whose every operation
 /// took exactly its uncontended, all-hit time.
-pub(crate) struct Plan {
+pub struct Plan {
     steps: Vec<Step>,
     durations: Vec<Time>,
     /// Physical ranges the iteration loads.
@@ -143,38 +125,12 @@ struct Charger {
     misses: Option<Counter>,
 }
 
-/// Per-step occurrence counts of `j % n` over `j` in `from..to`.
-struct Occurrences {
-    full: u64,
-    from_rem: u64,
-    to_rem: u64,
-}
-
-impl Occurrences {
-    fn new(from: u64, to: u64, n: u64) -> Self {
-        let from = from.min(to);
-        Occurrences {
-            full: to / n - from / n,
-            from_rem: from % n,
-            to_rem: to % n,
-        }
-    }
-
-    /// How many `j` in the range have `j % n == i`.
-    fn of(&self, i: u64) -> u64 {
-        self.full + u64::from(self.to_rem > i) - u64::from(self.from_rem > i)
-    }
-}
-
 fn op_len(op: SpinOp) -> u64 {
     op.bytes() as u64
 }
 
 fn op_addr(op: SpinOp) -> Addr {
-    match op {
-        SpinOp::Load(addr, _) | SpinOp::LoadState(addr) => addr,
-        SpinOp::Instr(_) => unreachable!("instructions load nothing"),
-    }
+    op.addr().expect("instructions load nothing")
 }
 
 impl Charger {
@@ -185,7 +141,7 @@ impl Charger {
         let c: &GpuCounters = self.t.counters();
         let ep = self.t.gpu().endpoint();
         let started = Occurrences::new(from, to, n);
-        let ended = Occurrences::new(from.max(1) - 1, to.max(1) - 1, n);
+        let ended = Occurrences::ended(from, to, n);
         for (i, &step) in self.steps.iter().enumerate() {
             let i = i as u64;
             let (starts, ends) = (started.of(i), ended.of(i));
@@ -210,7 +166,7 @@ impl Charger {
                     let len = op_len(self.ops[op]);
                     if starts > 0 {
                         // The last event in range that started this step.
-                        let r = started.to_rem.checked_sub(1).unwrap_or(n - 1);
+                        let r = started.last_rem(n);
                         let last = to - 1 - (r + n - i) % n;
                         ep.replay_read_issue(starts, len, self.grid.event_time(last));
                     }
@@ -228,37 +184,23 @@ impl Charger {
 }
 
 impl GpuThread {
-    /// Whether this thread's bus wakes sleeping spinners, installing the
-    /// wake-up watch if the bus has none.
-    fn spin_watch_ready(&self) -> bool {
-        let bus = self.gpu().bus();
-        match bus.watch() {
-            Some(w) => w.wakes_spinners(),
-            None => {
-                bus.set_watch(Some(Rc::new(SpinWatch {
-                    sim: self.gpu().sim().clone(),
-                })));
-                true
-            }
-        }
-    }
-
     fn l2_key(&self) -> u64 {
         self.gpu().l2() as *const crate::l2::L2Model as usize as u64
     }
 
-    /// The sleep request for the iteration `plan` recorded, which just
-    /// failed with the loaded bytes `buf` and ended now — or `None` when it
-    /// may not be elided: an operation missed the L2 or waited for the
-    /// link, recording is on, or the state it relied on (polled memory,
-    /// L2 residency, link occupancy) changed while it ran.
-    pub(crate) fn sleep_spec(
+    /// The plan and sleep request for the iteration of `ops` that just
+    /// failed, its operations having taken `took` and loaded `buf` — or
+    /// `None` when it may not be elided: an operation missed the L2 or
+    /// waited for the link, or the state it relied on (polled memory, L2
+    /// residency, link occupancy) changed while it ran.
+    pub(crate) fn park_spin(
         &self,
-        plan: &Plan,
         ops: &[SpinOp],
+        took: &[Time],
         buf: &[u8],
         misses: Option<&Counter>,
-    ) -> Option<SleepSpec> {
+    ) -> Option<(Plan, SleepSpec)> {
+        let plan = Plan::of(self, ops, took)?;
         let gpu = self.gpu();
         let now = gpu.sim().now();
         let grid = StepGrid::new(now, &plan.durations);
@@ -272,22 +214,12 @@ impl GpuThread {
             .position(|s| matches!(s, Step::SysRead { .. }));
         let link = gpu.endpoint().link();
         let idle = first_read.is_none_or(|i| link.busy_until() <= grid.event_time(i as u64));
-        if !resident || !idle || !self.spin_watch_ready() {
+        if !resident
+            || !idle
+            || !spin_watch_ready(gpu.sim(), gpu.bus())
+            || !loads_unchanged(gpu.bus(), ops, buf)
+        {
             return None;
-        }
-        // A write that landed after its load but before the iteration
-        // ended is already visible: the next iteration would differ.
-        let mut off = 0;
-        for op in ops {
-            let len = op.bytes();
-            if len > 0 {
-                let mut now_holds = vec![0u8; len];
-                gpu.bus().read(op_addr(*op), &mut now_holds);
-                if now_holds != buf[off..off + len] {
-                    return None;
-                }
-            }
-            off += len;
         }
         let mut keys = Vec::new();
         if !plan.dev.is_empty() {
@@ -305,13 +237,14 @@ impl GpuThread {
             ops: ops.to_vec(),
             misses: misses.cloned(),
         };
-        Some(SleepSpec {
+        let spec = SleepSpec {
             grid,
             watch: plan.watch.clone(),
             keys,
             charge: Box::new(move |from, to| charger.charge(from, to)),
             label: format!("gpu{} spin, {} steps", gpu.node(), plan.steps.len()),
-        })
+        };
+        Some((plan, spec))
     }
 
     /// Resume after a parked spin was materialized and its pending step's
@@ -319,14 +252,7 @@ impl GpuThread {
     /// operation would, then run the rest of the iteration explicitly.
     pub(crate) async fn resume_spin(&self, plan: &Plan, ops: &[SpinOp], j: u64, buf: &mut [u8]) {
         let gpu = self.gpu();
-        let offs: Vec<usize> = ops
-            .iter()
-            .scan(0, |off, op| {
-                let at = *off;
-                *off += op.bytes();
-                Some(at)
-            })
-            .collect();
+        let offs = spin_offsets(ops);
         let i = ((j - 1) % plan.steps.len() as u64) as usize;
         let step = plan.steps[i];
         let k = step.op();
@@ -343,26 +269,6 @@ impl GpuThread {
         }
         for (&op, &off) in ops.iter().zip(&offs).skip(k + 1) {
             spin_op(self, op, buf, off).await;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Occurrences;
-
-    #[test]
-    fn occurrence_counts_match_enumeration() {
-        for n in 1..5u64 {
-            for from in 0..12u64 {
-                for to in from..14 {
-                    let occ = Occurrences::new(from, to, n);
-                    for i in 0..n {
-                        let want = (from..to).filter(|j| j % n == i).count() as u64;
-                        assert_eq!(occ.of(i), want, "n={n} {from}..{to} i={i}");
-                    }
-                }
-            }
         }
     }
 }

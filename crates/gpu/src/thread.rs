@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use tc_mem::{Addr, RegionKind};
-use tc_pcie::{spin_buf, spin_op, SpinOp};
+use tc_pcie::SpinOp;
 use tc_trace::Counter;
 
 use crate::counters::GpuCounters;
@@ -251,6 +251,8 @@ impl GpuThread {
 }
 
 impl tc_pcie::Processor for GpuThread {
+    type SpinPlan = Plan;
+
     fn sim(&self) -> &tc_desim::Sim {
         self.gpu.sim()
     }
@@ -287,51 +289,20 @@ impl tc_pcie::Processor for GpuThread {
         self.fence_system().await;
     }
 
-    /// Explicit iterations until one fails that may be elided (see the
-    /// crate's `spin` module); then the thread parks until a collision
-    /// wakes it, and finishes the iteration it wakes in explicitly.
-    async fn spin_until(
+    /// A GPU iteration may be elided when every load hit the L2 or read
+    /// system memory over an idle link (see the crate's `spin` module).
+    fn spin_park(
         &self,
         ops: &[SpinOp],
+        took: &[tc_desim::Time],
+        buf: &[u8],
         misses: Option<&Counter>,
-        mut done: impl FnMut(&[u8]) -> bool,
-    ) -> Vec<u8> {
-        let sim = self.gpu.sim();
-        let mut buf = spin_buf(ops);
-        let mut took = vec![0; ops.len()];
-        loop {
-            let mut off = 0;
-            for (k, &op) in ops.iter().enumerate() {
-                let t = sim.now();
-                spin_op(self, op, &mut buf, off).await;
-                took[k] = sim.now() - t;
-                off += op.bytes();
-            }
-            if done(&buf) {
-                return buf;
-            }
-            if let Some(c) = misses {
-                c.inc();
-            }
-            let Some(plan) = sim
-                .elision_enabled()
-                .then(|| Plan::of(self, ops, &took))
-                .flatten()
-            else {
-                continue;
-            };
-            let Some(spec) = self.sleep_spec(&plan, ops, &buf, misses) else {
-                continue;
-            };
-            let j = sim.sleep_on_grid(spec).await;
-            self.resume_spin(&plan, ops, j, &mut buf).await;
-            if done(&buf) {
-                return buf;
-            }
-            if let Some(c) = misses {
-                c.inc();
-            }
-        }
+    ) -> Option<(Plan, tc_desim::SleepSpec)> {
+        self.park_spin(ops, took, buf, misses)
+    }
+
+    async fn spin_resume(&self, plan: &Plan, ops: &[SpinOp], j: u64, buf: &mut [u8]) {
+        self.resume_spin(plan, ops, j, buf).await;
     }
 }
 

@@ -31,14 +31,14 @@ pub mod config;
 pub mod endpoint;
 pub mod link;
 pub mod proc;
+pub mod spin;
 pub mod stats;
 
 pub use config::PcieConfig;
 pub use endpoint::Endpoint;
 pub use link::Link;
-pub use proc::{
-    spin_buf, spin_on_word, spin_op, spin_word, CpuConfig, CpuThread, Processor, SpinOp,
-};
+pub use proc::{CpuConfig, CpuThread, Processor};
+pub use spin::{spin_buf, spin_on_word, spin_op, spin_word, SpinOp};
 pub use stats::PcieStats;
 
 use std::rc::Rc;

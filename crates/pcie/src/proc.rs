@@ -11,85 +11,24 @@
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
-use tc_desim::Sim;
-use tc_mem::Addr;
+use tc_desim::{Sim, SleepSpec, StepGrid};
+use tc_mem::{Addr, RegionKind};
 use tc_trace::Counter;
 
 use crate::endpoint::Endpoint;
-
-/// One operation of a spin-loop iteration (see [`Processor::spin_until`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpinOp {
-    /// A plain global load of `len` bytes at the address
-    /// ([`Processor::ld_bytes`]).
-    Load(Addr, u32),
-    /// A load of a cache-hot software-state word ([`Processor::ld_state`]).
-    LoadState(Addr),
-    /// `n` dependent instructions (compare, branch, loop bookkeeping).
-    Instr(u64),
-}
-
-impl SpinOp {
-    /// Bytes this operation loads.
-    pub fn bytes(self) -> usize {
-        match self {
-            SpinOp::Load(_, len) => len as usize,
-            SpinOp::LoadState(_) => 8,
-            SpinOp::Instr(_) => 0,
-        }
-    }
-}
-
-/// A zeroed buffer for the bytes one iteration of `ops` loads: every
-/// load's bytes, concatenated in program order.
-pub fn spin_buf(ops: &[SpinOp]) -> Vec<u8> {
-    vec![0u8; ops.iter().map(|op| op.bytes()).sum()]
-}
-
-/// The little-endian word of up to eight loaded bytes at `off` of a spin
-/// buffer (see [`spin_buf`]); `len` selects a 4- or 8-byte load.
-pub fn spin_word(buf: &[u8], off: usize, len: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b[..len].copy_from_slice(&buf[off..off + len]);
-    u64::from_le_bytes(b)
-}
-
-/// Run one spin-iteration operation on `p`, storing what it loads at byte
-/// `off` of `buf`.
-pub async fn spin_op<P: Processor + ?Sized>(p: &P, op: SpinOp, buf: &mut [u8], off: usize) {
-    match op {
-        SpinOp::Load(addr, len) => p.ld_bytes(addr, &mut buf[off..off + len as usize]).await,
-        SpinOp::LoadState(addr) => {
-            let v = p.ld_state(addr).await;
-            buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        SpinOp::Instr(n) => p.instr(n).await,
-    }
-}
-
-/// Spin on one word: load `len` (4 or 8) bytes at `addr`, run `instrs`
-/// instructions (compare, branch, recompute the volatile pointer), and
-/// repeat until `done` accepts the value, which is returned. The
-/// single-word form of [`Processor::spin_until`].
-pub async fn spin_on_word<P: Processor>(
-    p: &P,
-    addr: Addr,
-    len: u32,
-    instrs: u64,
-    mut done: impl FnMut(u64) -> bool,
-) -> u64 {
-    let probe = [SpinOp::Load(addr, len), SpinOp::Instr(instrs)];
-    let b = p
-        .spin_until(&probe, None, |b| done(spin_word(b, 0, len as usize)))
-        .await;
-    spin_word(&b, 0, len as usize)
-}
+use crate::spin::{
+    loads_unchanged, spin_buf, spin_offsets, spin_op, spin_watch_ready, Occurrences, SpinOp,
+};
 
 /// A processor that can execute API code against simulated memory.
 ///
 /// Implementations charge their own timing and performance counters.
 #[allow(async_fn_in_trait)]
 pub trait Processor {
+    /// What [`Processor::spin_park`] learned about an elidable iteration
+    /// and [`Processor::spin_resume`] needs to finish it.
+    type SpinPlan;
+
     /// The simulation handle.
     fn sim(&self) -> &Sim;
     /// Execute `n` dependent instructions.
@@ -121,29 +60,67 @@ pub trait Processor {
         self.st_u64(addr, v).await;
     }
 
+    /// The elision hook of [`Processor::spin_until`]: the iteration of
+    /// `ops` just failed, its operations took `took` and it loaded `buf`.
+    /// Returns the plan and the sleep request to park on, or `None` when
+    /// the iteration is not provably constant and the next one must run
+    /// explicitly. Called only while [`Sim::elision_enabled`] holds.
+    fn spin_park(
+        &self,
+        ops: &[SpinOp],
+        took: &[Time],
+        buf: &[u8],
+        misses: Option<&Counter>,
+    ) -> Option<(Self::SpinPlan, SleepSpec)>;
+
+    /// Resume after a parked spin was materialized and its pending step's
+    /// timer fired at grid event `j`: end that step exactly as the
+    /// explicit operation would (storing what it loads into `buf`), then
+    /// run the rest of the iteration explicitly.
+    async fn spin_resume(&self, plan: &Self::SpinPlan, ops: &[SpinOp], j: u64, buf: &mut [u8]);
+
     /// The one polling primitive: repeat the iteration `ops` (run in
     /// program order) until `done` accepts the bytes it loaded (see
     /// [`spin_buf`]), bumping `misses` once per rejected iteration.
     /// Returns the loaded bytes of the accepting iteration.
     ///
-    /// Every completion wait in the API layers goes through here. The
-    /// default steps every operation explicitly; a processor may instead
-    /// elide iterations it can prove identical (the GPU does, see
-    /// `tc_gpu`), as long as simulated time, counters and memory come out
-    /// exactly as explicit stepping would leave them.
+    /// Every completion wait in the API layers goes through here. It runs
+    /// iterations explicitly until one fails that
+    /// [`Processor::spin_park`] can prove constant, then parks until a
+    /// collision wakes it (see [`crate::spin`]). Simulated time, counters
+    /// and memory come out exactly as explicit stepping would leave them.
     async fn spin_until(
         &self,
         ops: &[SpinOp],
         misses: Option<&Counter>,
         mut done: impl FnMut(&[u8]) -> bool,
     ) -> Vec<u8> {
+        let sim = self.sim();
         let mut buf = spin_buf(ops);
+        let mut took = vec![0; ops.len()];
         loop {
             let mut off = 0;
-            for &op in ops {
+            for (k, &op) in ops.iter().enumerate() {
+                let t = sim.now();
                 spin_op(self, op, &mut buf, off).await;
+                took[k] = sim.now() - t;
                 off += op.bytes();
             }
+            if done(&buf) {
+                return buf;
+            }
+            if let Some(c) = misses {
+                c.inc();
+            }
+            let Some((plan, spec)) = sim
+                .elision_enabled()
+                .then(|| self.spin_park(ops, &took, &buf, misses))
+                .flatten()
+            else {
+                continue;
+            };
+            let j = sim.sleep_on_grid(spec).await;
+            self.spin_resume(&plan, ops, j, &mut buf).await;
             if done(&buf) {
                 return buf;
             }
@@ -233,8 +210,23 @@ impl CpuThread {
     fn is_local_dram(&self, addr: Addr) -> bool {
         matches!(
             self.endpoint.bus().classify(addr),
-            tc_mem::RegionKind::HostDram { node } if node == self.node
+            RegionKind::HostDram { node } if node == self.node
         )
+    }
+
+    /// The fixed cost of `op` in an elidable spin iteration, or `None` for
+    /// a load that crosses PCIe (MMIO, the GPU BAR), whose cost depends on
+    /// the link, and for a state load of a device register, which can
+    /// change without a bus store.
+    fn elidable_cost(&self, op: SpinOp) -> Option<Time> {
+        match op {
+            SpinOp::Load(addr, _) => self.is_local_dram(addr).then_some(self.cfg.dram),
+            SpinOp::LoadState(addr) => {
+                let mmio = matches!(self.endpoint.bus().classify(addr), RegionKind::Mmio { .. });
+                (!mmio).then_some(self.cfg.cached)
+            }
+            SpinOp::Instr(n) => Some(n * self.cfg.instr),
+        }
     }
 
     async fn load(&self, addr: Addr, buf: &mut [u8]) {
@@ -262,9 +254,93 @@ impl CpuThread {
     }
 }
 
+/// The step structure of an elidable CPU spin iteration: every operation
+/// that takes time is one step.
+pub struct CpuSpinPlan {
+    /// The operation behind every step.
+    steps: Vec<usize>,
+}
+
 impl Processor for CpuThread {
+    type SpinPlan = CpuSpinPlan;
+
     fn sim(&self) -> &Sim {
         &self.sim
+    }
+
+    /// A CPU iteration may be elided when every load hits local host DRAM
+    /// (or the L1, for software state), every operation took exactly its
+    /// fixed cost, and the polled bytes still hold what it loaded: then
+    /// only a store to them can change what the next iteration sees.
+    fn spin_park(
+        &self,
+        ops: &[SpinOp],
+        took: &[Time],
+        buf: &[u8],
+        misses: Option<&Counter>,
+    ) -> Option<(CpuSpinPlan, SleepSpec)> {
+        let bus = self.endpoint.bus();
+        let (mut steps, mut durations, mut watch) = (Vec::new(), Vec::new(), Vec::new());
+        for (k, (&op, &took)) in ops.iter().zip(took).enumerate() {
+            let cost = self.elidable_cost(op)?;
+            if took != cost {
+                return None;
+            }
+            if cost == 0 {
+                continue;
+            }
+            steps.push(k);
+            durations.push(cost);
+            if let Some(addr) = op.addr() {
+                let phys = bus.resolve(addr);
+                watch.push(phys..phys + op.bytes() as u64);
+            }
+        }
+        if steps.is_empty() || !spin_watch_ready(&self.sim, bus) || !loads_unchanged(bus, ops, buf)
+        {
+            return None;
+        }
+        // The explicit load counts when it starts; the exit test follows
+        // the last step's end.
+        let n = steps.len() as u64;
+        let loaded: Vec<(u64, u64)> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (i as u64, ops[k].bytes() as u64))
+            .filter(|&(_, len)| len > 0)
+            .collect();
+        let (loads, load_bytes) = (self.loads.clone(), self.load_bytes.clone());
+        let misses = misses.cloned();
+        let charge = move |from, to| {
+            let started = Occurrences::new(from, to, n);
+            for &(i, len) in &loaded {
+                loads.add(started.of(i));
+                load_bytes.add(started.of(i) * len);
+            }
+            if let Some(m) = &misses {
+                m.add(Occurrences::ended(from, to, n).of(n - 1));
+            }
+        };
+        let spec = SleepSpec {
+            grid: StepGrid::new(self.sim.now(), &durations),
+            watch,
+            keys: Vec::new(),
+            charge: Box::new(charge),
+            label: format!("cpu{} spin, {n} steps", self.node),
+        };
+        Some((CpuSpinPlan { steps }, spec))
+    }
+
+    async fn spin_resume(&self, plan: &CpuSpinPlan, ops: &[SpinOp], j: u64, buf: &mut [u8]) {
+        let offs = spin_offsets(ops);
+        let k = plan.steps[((j - 1) % plan.steps.len() as u64) as usize];
+        if let Some(addr) = ops[k].addr() {
+            let range = offs[k]..offs[k] + ops[k].bytes();
+            self.endpoint.bus().read(addr, &mut buf[range]);
+        }
+        for (&op, &off) in ops.iter().zip(&offs).skip(k + 1) {
+            spin_op(self, op, buf, off).await;
+        }
     }
 
     async fn instr(&self, n: u64) {

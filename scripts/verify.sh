@@ -13,7 +13,8 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test -q
 
-echo "== crate suites (desim, gpu, extoll, ib, ... incl. elided-vs-explicit spin tests) =="
+echo "== crate suites (desim, gpu, extoll, ib, ... incl. elided-vs-explicit spin tests:"
+echo "   desim/tests/elision.rs, gpu/tests/elision.rs, pcie/tests/elision.rs) =="
 cargo test --workspace -q
 
 echo "== lint: rustfmt (check only) =="
@@ -34,6 +35,9 @@ cargo test -q --test shard_golden
 
 echo "== backend + message-layer conformance (both fabrics, put/get rendezvous) =="
 cargo test -q -p tc-putget --test conformance
+
+echo "== message-layer differential (random sequences, elided vs explicit) =="
+cargo test -q -p tc-putget --test msg_differential
 
 echo "== paper-claims self-check (reproduce check --quick; fails on any [FAIL]) =="
 cargo run --release -p tc-bench --bin reproduce -- check --quick > /dev/null
