@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::sparse::SparseMem;
-use crate::Addr;
+use crate::{layout, Addr};
 
 /// What kind of resource an address resolves to. Timing models use this to
 /// decide which cost to charge for an access.
@@ -58,48 +58,34 @@ pub trait MmioDevice {
     fn mmio_read(&self, offset: u64, buf: &mut [u8]);
 }
 
-enum Region {
-    Ram {
-        base: Addr,
-        len: u64,
-        mem: Rc<SparseMem>,
-        kind: RegionKind,
-    },
-    Mmio {
-        base: Addr,
-        len: u64,
-        dev: Rc<dyn MmioDevice>,
-        kind: RegionKind,
-    },
+/// One mapped window. Every region lies inside a single
+/// [`layout::node_of`] window, which is how the bus decodes addresses.
+struct Region {
+    base: Addr,
+    len: u64,
+    kind: RegionKind,
+    map: Map,
+}
+
+enum Map {
+    Ram(Rc<SparseMem>),
+    Mmio(Rc<dyn MmioDevice>),
     /// Redirects `base..base+len` to `target..target+len`.
-    Alias {
-        base: Addr,
-        len: u64,
-        target: Addr,
-        kind: RegionKind,
-    },
+    Alias(Addr),
 }
 
 impl Region {
-    fn base(&self) -> Addr {
-        match self {
-            Region::Ram { base, .. } | Region::Mmio { base, .. } | Region::Alias { base, .. } => {
-                *base
-            }
-        }
+    fn contains(&self, addr: Addr) -> bool {
+        addr.wrapping_sub(self.base) < self.len
     }
-    fn len(&self) -> u64 {
-        match self {
-            Region::Ram { len, .. } | Region::Mmio { len, .. } | Region::Alias { len, .. } => *len,
-        }
-    }
-    fn kind(&self) -> RegionKind {
-        match self {
-            Region::Ram { kind, .. } | Region::Mmio { kind, .. } | Region::Alias { kind, .. } => {
-                *kind
-            }
-        }
-    }
+}
+
+/// Decode: index the node window of `addr`, then scan its few regions.
+fn lookup(nodes: &[Vec<Region>], addr: Addr) -> Option<&Region> {
+    nodes
+        .get(layout::node_of(addr))?
+        .iter()
+        .find(|r| r.contains(addr))
 }
 
 /// Observer of data-plane RAM traffic: the causal profiler's
@@ -120,9 +106,13 @@ pub trait BusWatch {
 }
 
 /// The fabric bus. Cheap to clone (shared).
+///
+/// Every mapped region must lie inside one [`layout::node_of`] window;
+/// mapping one that straddles two windows, or overlaps another, panics.
 #[derive(Clone, Default)]
 pub struct Bus {
-    regions: Rc<RefCell<Vec<Region>>>,
+    /// Slot `n` holds the regions inside node `n`'s window, sorted by base.
+    nodes: Rc<RefCell<Vec<Vec<Region>>>>,
     /// Shared across clones so a watch installed after wiring is seen by
     /// every holder of the bus. `None` (the default) costs one borrow and
     /// branch per RAM access.
@@ -149,8 +139,8 @@ impl Bus {
     /// BAR aperture) resolve to their target, everything else is itself.
     /// This is the address a [`BusWatch`] sees for accesses to `addr`.
     pub fn resolve(&self, addr: Addr) -> Addr {
-        match self.with_region(addr, |r| match r {
-            Region::Alias { base, target, .. } => Some(target + (addr - base)),
+        match self.with_region(addr, |r| match r.map {
+            Map::Alias(target) => Some(target + (addr - r.base)),
             _ => None,
         }) {
             Some(t) => self.resolve(t),
@@ -159,89 +149,81 @@ impl Bus {
     }
 
     fn insert(&self, r: Region) {
-        let mut regions = self.regions.borrow_mut();
-        let (b, l) = (r.base(), r.len());
-        for other in regions.iter() {
-            let (ob, ol) = (other.base(), other.len());
+        let (b, l) = (r.base, r.len);
+        let n = layout::node_of(b);
+        assert!(
+            l == 0 || layout::node_of(b + (l - 1)) == n,
+            "region [{b:#x};{l:#x}) straddles node windows"
+        );
+        let mut nodes = self.nodes.borrow_mut();
+        if nodes.len() <= n {
+            nodes.resize_with(n + 1, Vec::new);
+        }
+        let slot = &mut nodes[n];
+        for o in slot.iter() {
             assert!(
-                b + l <= ob || ob + ol <= b,
-                "region [{b:#x};{l:#x}) overlaps existing [{ob:#x};{ol:#x})"
+                b + l <= o.base || o.base + o.len <= b,
+                "region [{b:#x};{l:#x}) overlaps existing [{:#x};{:#x})",
+                o.base,
+                o.len
             );
         }
-        regions.push(r);
-        // Keep sorted for binary search.
-        regions.sort_by_key(|r| r.base());
+        let at = slot.partition_point(|o| o.base < b);
+        slot.insert(at, r);
     }
 
     /// Map a RAM window.
     pub fn add_ram(&self, mem: Rc<SparseMem>, kind: RegionKind) {
-        self.insert(Region::Ram {
+        self.insert(Region {
             base: mem.base(),
             len: mem.len(),
-            mem,
             kind,
+            map: Map::Ram(mem),
         });
     }
 
     /// Map an MMIO device at `base..base+len`.
     pub fn add_mmio(&self, base: Addr, len: u64, dev: Rc<dyn MmioDevice>, kind: RegionKind) {
-        self.insert(Region::Mmio {
+        self.insert(Region {
             base,
             len,
-            dev,
             kind,
+            map: Map::Mmio(dev),
         });
     }
 
     /// Map an alias window redirecting to `target`.
     pub fn add_alias(&self, base: Addr, len: u64, target: Addr, kind: RegionKind) {
-        self.insert(Region::Alias {
+        self.insert(Region {
             base,
             len,
-            target,
             kind,
+            map: Map::Alias(target),
         });
     }
 
     fn with_region<R>(&self, addr: Addr, f: impl FnOnce(&Region) -> R) -> R {
-        let regions = self.regions.borrow();
-        let idx = match regions.binary_search_by(|r| {
-            if addr < r.base() {
-                std::cmp::Ordering::Greater
-            } else if addr >= r.base() + r.len() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => i,
-            Err(_) => panic!("bus access to unmapped address {addr:#x}"),
-        };
-        f(&regions[idx])
+        match lookup(&self.nodes.borrow(), addr) {
+            Some(r) => f(r),
+            None => panic!("bus access to unmapped address {addr:#x}"),
+        }
     }
 
     /// Classify an address. Alias windows report their own kind (e.g.
     /// `GpuBar`), not the target's.
     pub fn classify(&self, addr: Addr) -> RegionKind {
-        self.with_region(addr, |r| r.kind())
+        self.with_region(addr, |r| r.kind)
     }
 
     /// True if the address is mapped.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        let regions = self.regions.borrow();
-        regions
-            .iter()
-            .any(|r| addr >= r.base() && addr < r.base() + r.len())
+        lookup(&self.nodes.borrow(), addr).is_some()
     }
 
     /// Data-plane read. Instantaneous; timing is charged by the caller.
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
-        enum Act {
-            Done,
-            Redirect(Addr),
-        }
-        let act = self.with_region(addr, |r| match r {
-            Region::Ram { mem, .. } => {
+        let redirect = self.with_region(addr, |r| match &r.map {
+            Map::Ram(mem) => {
                 mem.read(addr, buf);
                 // Only word-sized reads are dependency-relevant (poll
                 // loops); bulk DMA reads must not consume pending stores.
@@ -250,42 +232,38 @@ impl Bus {
                         w.load(addr & !7);
                     }
                 }
-                Act::Done
+                None
             }
-            Region::Mmio { base, dev, .. } => {
-                dev.mmio_read(addr - base, buf);
-                Act::Done
+            Map::Mmio(dev) => {
+                dev.mmio_read(addr - r.base, buf);
+                None
             }
-            Region::Alias { base, target, .. } => Act::Redirect(target + (addr - base)),
+            Map::Alias(target) => Some(target + (addr - r.base)),
         });
-        if let Act::Redirect(t) = act {
+        if let Some(t) = redirect {
             self.read(t, buf);
         }
     }
 
     /// Data-plane write. Instantaneous; timing is charged by the caller.
     pub fn write(&self, addr: Addr, data: &[u8]) {
-        enum Act {
-            Done,
-            Redirect(Addr),
-        }
-        let act = self.with_region(addr, |r| match r {
-            Region::Ram { mem, .. } => {
+        let redirect = self.with_region(addr, |r| match &r.map {
+            Map::Ram(mem) => {
                 mem.write(addr, data);
                 if !data.is_empty() {
                     if let Some(w) = &*self.watch.borrow() {
                         w.store(addr, data.len() as u64);
                     }
                 }
-                Act::Done
+                None
             }
-            Region::Mmio { base, dev, .. } => {
-                dev.mmio_write(addr - base, data);
-                Act::Done
+            Map::Mmio(dev) => {
+                dev.mmio_write(addr - r.base, data);
+                None
             }
-            Region::Alias { base, target, .. } => Act::Redirect(target + (addr - base)),
+            Map::Alias(target) => Some(target + (addr - r.base)),
         });
-        if let Act::Redirect(t) = act {
+        if let Some(t) = redirect {
             self.write(t, data);
         }
     }

@@ -52,6 +52,15 @@ test -s "$metrics_dir/pingpong.trace.json"
 cargo run --release -p tc-bench --bin reproduce -- \
     --validate-metrics "$metrics_dir/pingpong.metrics.json"
 
+echo "== results golden (reproduce --full byte-identical to results/) =="
+# full_results.txt is the run's standard output; the runner footer
+# (host timing) goes to standard error. Every diff against the committed
+# goldens must be explained in CHANGES.md when results/ is regenerated.
+mkdir -p "$metrics_dir/results"
+cargo run --release -p tc-bench --bin reproduce -- \
+    --full --out "$metrics_dir/results" > "$metrics_dir/results/full_results.txt"
+diff -r results "$metrics_dir/results"
+
 echo "== causal profile (latency attribution sums + tc-timeseries-v1) =="
 # Exits 1 if any attribution claim reports [FAIL] (sum-vs-measured off by
 # >5%, <95% named-layer coverage, wrong wire-crossing count, or a
